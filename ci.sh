@@ -13,8 +13,12 @@ echo "=== [2/12] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
 cargo test -q -p dgnn-analysis
 cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis
 
-echo "=== [3/12] release build (warnings denied) ==="
+echo "=== [3/12] release build (warnings denied) + benchmark build ==="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
+# perfbench/ is its own workspace, so --workspace never compiles it; build
+# it here so a serving- or training-API change cannot silently break the
+# benchmark.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "=== [4/12] full test suite (serial and 4-thread kernel pool) ==="
 DGNN_THREADS=1 cargo test -q --workspace
@@ -56,10 +60,11 @@ cargo run -q --release -p dgnn-bench --bin loadgen -- --check BENCH_serve.json
 
 echo "=== [12/12] scale gate (streaming gen + segmented store + lazy Zipf load + RSS/residency bounds) ==="
 # --scale runs the million-user-architecture tier on the CI-sized preset:
-# streams a sharded world to disk, opens it lazily, proves sharded scoring
-# bit-identical to a dense reference at 1 and 4 threads, then drives 64
-# closed-loop Zipf clients and gates on laziness (touched shards < total),
-# residency and RSS ceilings, and qps against the committed baseline.
+# streams a sharded world to disk, opens it lazily, proves multi-shard
+# scoring bit-identical to the checkpoint-loaded engine at 1 and 4
+# threads, then drives 64 closed-loop Zipf clients and gates on laziness
+# (touched shards < total), residency and RSS ceilings, and qps against
+# the committed baseline.
 cargo run -q --release -p dgnn-bench --bin loadgen -- --scale --check BENCH_scale.json
 
 echo "CI_OK"

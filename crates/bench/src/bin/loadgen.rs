@@ -47,6 +47,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dgnn_bench::zipf::Zipf;
+use dgnn_bench::ServeWindow;
 use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::tiny;
 use dgnn_eval::Trainable;
@@ -395,7 +396,12 @@ fn main() -> ExitCode {
     );
 
     let smoke_failures = malformed_smoke(addr);
+    // The shared registry is process-wide: scope it to the main load so
+    // the smoke probes above and the scrapes and overhead legs below stay
+    // out of the measured stats.
+    dgnn_obs::shared::reset();
     let (ok, err, elapsed) = drive_load(addr, num_users, REQUESTS_PER_CLIENT);
+    let window = ServeWindow::capture();
     println!(
         "load: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests -> {ok} ok / {err} err \
          in {elapsed:.2}s ({:.0} qps)",
@@ -422,11 +428,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let stats = server.stats();
     server.shutdown();
 
-    // Overhead measurement runs against a *fresh* server so its traffic
-    // cannot pollute the main run's stats (qps, percentiles).
+    // Overhead measurement runs against a *fresh* server, after the main
+    // run's window was captured, so its traffic cannot pollute the main
+    // run's stats (qps, percentiles, phase attribution).
     let overhead_engine = Engine::load(ckpt_path).expect("loadgen: reloading checkpoint");
     let overhead_server =
         Server::start(overhead_engine, ServeConfig::default()).expect("loadgen: overhead server");
@@ -449,7 +455,6 @@ fn main() -> ExitCode {
     // so publishing happens here on the main thread).
     dgnn_obs::reset();
     dgnn_obs::enable();
-    let summary = stats.publish(elapsed);
     dgnn_obs::gauge_set("serve/clients", CLIENTS as f64);
     dgnn_obs::gauge_set("serve/requests_per_client", REQUESTS_PER_CLIENT as f64);
     dgnn_obs::gauge_set("serve/checkpoint_bytes", ckpt_bytes as f64);
@@ -464,14 +469,14 @@ fn main() -> ExitCode {
     dgnn_obs::counter_add("serve/scrape_failures", scrape_failures as u64);
     dgnn_obs::counter_add("serve/consistency_failures", consistency_failures);
 
-    // Phase attribution: per-phase p50/p99 from the live shared histograms
-    // plus each phase group's share of the summed p99 — "is tail latency
-    // queueing or compute?" answered from the benchmark artifact alone.
-    let shared_hists = dgnn_obs::shared::hist_snapshots();
+    // Phase attribution: per-phase p50/p99 from the main load's shared
+    // histograms plus each phase group's share of the summed p99 — "is
+    // tail latency queueing or compute?" answered from the benchmark
+    // artifact alone.
     let mut phase_p99: std::collections::BTreeMap<&str, f64> = std::collections::BTreeMap::new();
     println!("phase attribution (p50 / p99 ms):");
     for phase in PHASES {
-        if let Some(h) = shared_hists.get(&format!("serve/phase/{phase}_ms")) {
+        if let Some(h) = window.hists.get(&format!("serve/phase/{phase}_ms")) {
             let (q50, q99) = (h.quantile(0.50), h.quantile(0.99));
             dgnn_obs::gauge_set(&format!("serve/phase/{phase}_p50_ms"), q50);
             dgnn_obs::gauge_set(&format!("serve/phase/{phase}_p99_ms"), q99);
@@ -498,16 +503,18 @@ fn main() -> ExitCode {
         );
     }
 
-    let snapshot = dgnn_obs::snapshot();
+    let mut snapshot = dgnn_obs::snapshot();
     dgnn_obs::disable();
     dgnn_obs::reset();
+    window.publish(elapsed, &mut snapshot);
+    let gauge = |name: &str| snapshot.gauges.get(name).copied().unwrap_or(0.0);
     println!(
         "latency p50/p95/p99: {:.2}/{:.2}/{:.2} ms, mean batch {:.2} over {} dispatches",
-        summary.latency_ms.0,
-        summary.latency_ms.1,
-        summary.latency_ms.2,
-        summary.batch_size_mean,
-        summary.batches
+        gauge("serve/latency_ms_p50"),
+        gauge("serve/latency_ms_p95"),
+        gauge("serve/latency_ms_p99"),
+        gauge("serve/batch_size_mean"),
+        snapshot.histograms.get("serve/batch_size").map_or(0, |h| h.count)
     );
 
     if smoke_failures > 0 || consistency_failures > 0 || scrape_failures > 0 {

@@ -11,6 +11,7 @@
 pub mod scale_tier;
 pub mod zipf;
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -143,6 +144,54 @@ pub fn print_metric_table(title: &str, results: &[CellResult], n: usize) {
             );
         }
         println!();
+    }
+}
+
+/// The serving tier's request statistics over one load window, read from
+/// the process-shared registry that `RequestTrace::finish` and the
+/// micro-batcher record every request into. Reset the registry
+/// (`dgnn_obs::shared::reset`) before the load and [`ServeWindow::capture`]
+/// right after it, so no other traffic lands in the window.
+pub struct ServeWindow {
+    /// Shared counters, gauges and histogram aggregates.
+    snapshot: dgnn_obs::Snapshot,
+    /// Shared streaming histograms, for quantiles.
+    pub hists: BTreeMap<String, dgnn_obs::StreamHist>,
+}
+
+impl ServeWindow {
+    /// Reads the shared registry now.
+    pub fn capture() -> Self {
+        Self { snapshot: dgnn_obs::shared::snapshot(), hists: dgnn_obs::shared::hist_snapshots() }
+    }
+
+    /// Quantile `q` of the named histogram (0 when nothing was recorded).
+    pub fn quantile(&self, name: &str, q: f64) -> f64 {
+        self.hists.get(name).map_or(0.0, |h| h.quantile(q))
+    }
+
+    /// Adds the window to a serve artifact's snapshot: the
+    /// `serve/latency_ms` and `serve/batch_size` histograms, the
+    /// `serve/requests_{ok,err}` counters, and the
+    /// `serve/latency_ms_{p50,p95,p99}`, `serve/batch_size_mean` and
+    /// `serve/qps` gauges.
+    pub fn publish(&self, elapsed_secs: f64, out: &mut dgnn_obs::Snapshot) {
+        let count = |name: &str| self.snapshot.counters.get(name).copied().unwrap_or(0);
+        let (ok, err) = (count("serve/requests_ok"), count("serve/requests_err"));
+        out.counters.insert("serve/requests_ok".into(), ok);
+        out.counters.insert("serve/requests_err".into(), err);
+        for name in ["serve/latency_ms", "serve/batch_size"] {
+            if let Some(h) = self.snapshot.histograms.get(name) {
+                out.histograms.insert(name.into(), *h);
+            }
+        }
+        for (q, name) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
+            out.gauges.insert(format!("serve/latency_ms_{name}"), self.quantile("serve/latency_ms", q));
+        }
+        let batch_mean = self.snapshot.histograms.get("serve/batch_size").map_or(0.0, |h| h.mean());
+        out.gauges.insert("serve/batch_size_mean".into(), batch_mean);
+        let qps = if elapsed_secs > 0.0 { (ok + err) as f64 / elapsed_secs } else { 0.0 };
+        out.gauges.insert("serve/qps".into(), qps);
     }
 }
 

@@ -6,9 +6,10 @@
 //! 1. **Bit-identity** — trains a quick DGNN on the tiny dataset, saves it
 //!    both as a monolithic checkpoint and as a segmented one (4 user
 //!    shards), and asserts the sharded engine returns *bit-identical*
-//!    top-K (items and score bits) to the dense engine for **every** user,
-//!    with and without seen-filtering, at kernel thread counts 1 and 4,
-//!    in both `pread` and map modes, plus one served-over-HTTP
+//!    top-K (items and score bits) to the checkpoint-loaded engine (one
+//!    shard per table) for **every** user, with and without
+//!    seen-filtering, at kernel thread counts 1 and 4, in both `pread`
+//!    and map modes, plus one served-over-HTTP
 //!    cross-check. This is the correctness license for phase 2: once the
 //!    sharded path is provably the same function, its numbers measure the
 //!    *storage architecture*, not a different model.
@@ -43,7 +44,7 @@ use dgnn_serve::{Engine, MapMode, Query, SegmentedWriter, ServeConfig, Server};
 use dgnn_tensor::parallel;
 
 use crate::zipf::Zipf;
-use crate::SEED;
+use crate::{ServeWindow, SEED};
 
 /// Closed-loop client threads of the scale phase.
 pub const CLIENTS: usize = 64;
@@ -82,9 +83,10 @@ fn http_get(addr: SocketAddr, target: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-/// Compares every user's top-K between the dense and sharded engines at
-/// one pinned kernel thread count: same items, same score **bits**, with
-/// and without seen-filtering. Returns the number of diverging users.
+/// Compares every user's top-K between the checkpoint-loaded ("dense":
+/// one shard per table) and multi-shard engines at one pinned kernel
+/// thread count: same items, same score **bits**, with and without
+/// seen-filtering. Returns the number of diverging users.
 fn probe_bit_identity(dense: &Engine, sharded: &Engine, threads: usize, tag: &str) -> usize {
     let saved = parallel::current_threads();
     parallel::set_threads(threads);
@@ -315,6 +317,11 @@ pub fn run(check_path: Option<&str>) -> Result<(), String> {
     let zipf = Zipf::new(spec.num_users, ZIPF_THETA, SEED);
     dgnn_obs::set_live_telemetry(true);
 
+    // Scope the shared registry to the scale engine so phase 1's server
+    // and shard loads stay out of the measured stats. The reset sits
+    // before the open because the store publishes its shard totals there;
+    // the startup probe is the window's only request outside the main load.
+    dgnn_obs::shared::reset();
     let rss_before = procstat::rss_bytes().unwrap_or(0);
     let t_start = Instant::now();
     let engine = Engine::open_segmented(&world).map_err(|e| format!("scale: opening world: {e}"))?;
@@ -330,6 +337,7 @@ pub fn run(check_path: Option<&str>) -> Result<(), String> {
     println!("startup to first answer: {startup_ms:.0} ms (mapped: {mapped})");
 
     let (ok, err, elapsed) = drive_zipf_load(addr, &zipf);
+    let window = ServeWindow::capture();
     let qps = (ok + err) as f64 / elapsed.max(1e-9);
     println!(
         "load: {CLIENTS} Zipf(θ={ZIPF_THETA}) clients x {REQUESTS_PER_CLIENT} requests -> \
@@ -353,7 +361,6 @@ pub fn run(check_path: Option<&str>) -> Result<(), String> {
          rss {rss_before} -> {rss_after} (+{rss_growth})"
     );
 
-    let stats = server.stats();
     server.shutdown();
 
     // Gates that assert architecture run in every mode.
@@ -409,10 +416,9 @@ pub fn run(check_path: Option<&str>) -> Result<(), String> {
     // Fold everything into one snapshot and write the artifact.
     dgnn_obs::reset();
     dgnn_obs::enable();
-    let summary = stats.publish(elapsed);
     dgnn_obs::gauge_set("scale/qps", qps);
-    dgnn_obs::gauge_set("scale/latency_ms_p50", summary.latency_ms.0);
-    dgnn_obs::gauge_set("scale/latency_ms_p99", summary.latency_ms.2);
+    dgnn_obs::gauge_set("scale/latency_ms_p50", window.quantile("serve/latency_ms", 0.50));
+    dgnn_obs::gauge_set("scale/latency_ms_p99", window.quantile("serve/latency_ms", 0.99));
     dgnn_obs::gauge_set("scale/startup_to_first_answer_ms", startup_ms);
     dgnn_obs::gauge_set("scale/gen_secs", gen_secs);
     dgnn_obs::gauge_set("scale/users", spec.num_users as f64);
@@ -435,9 +441,10 @@ pub fn run(check_path: Option<&str>) -> Result<(), String> {
     dgnn_obs::counter_add("scale/err", err);
     dgnn_obs::counter_add("scale/bit_identity_failures", bit_identity_failures as u64);
     dgnn_obs::counter_add("scale/scrape_failures", scrape_failures as u64);
-    let snapshot = dgnn_obs::snapshot();
+    let mut snapshot = dgnn_obs::snapshot();
     dgnn_obs::disable();
     dgnn_obs::reset();
+    window.publish(elapsed, &mut snapshot);
 
     let mut out = String::from("{\n  \"models\": {\n");
     out.push_str(&format!("    \"DGNN-scale\": {}\n", snapshot_to_json(&snapshot, 4).trim_start()));

@@ -138,26 +138,6 @@ pub fn hist_record(name: &str, value: f64) {
     });
 }
 
-/// Folds a precomputed aggregate into the named histogram (no-op while
-/// disabled or when `stat` is empty). Byte-equivalent to recording each of
-/// the `stat.count` underlying values one at a time — bounded collectors
-/// (e.g. the serving tier's streaming histograms) use this to publish
-/// without replaying raw samples they no longer hold.
-pub fn hist_merge(name: &str, stat: HistStat) {
-    if !crate::is_enabled() || stat.count == 0 {
-        return;
-    }
-    HISTS.with(|m| {
-        let mut m = m.borrow_mut();
-        match m.get_mut(name) {
-            Some(h) => h.merge(&stat),
-            None => {
-                m.insert(name.to_string(), stat);
-            }
-        }
-    });
-}
-
 pub(crate) fn snapshot_metrics() -> Snapshot {
     Snapshot {
         counters: COUNTERS.with(|m| m.borrow().clone()),

@@ -1,12 +1,11 @@
 //! The workspace's single percentile definition.
 //!
-//! Serving stats (`dgnn-serve`), the load harness, and the streaming
-//! histogram's quantile estimator all answer "what is p99?" — and before
-//! this module each carried its own indexing convention. One definition
-//! lives here: **nearest-rank over a zero-based sorted array**,
-//! `index = round(q · (n − 1))`. It is exact (returns an observed value,
-//! never an interpolation), agrees with the previous `stats.rs` math
-//! byte-for-byte, and is proptested against a sorted-vector oracle in
+//! The streaming histogram's quantile estimator (and through it every
+//! serving latency percentile) answers "what is p99?" with the one
+//! definition that lives here: **nearest-rank over a zero-based sorted
+//! array**, `index = round(q · (n − 1))`. It is exact (returns an
+//! observed value, never an interpolation) and is proptested against a
+//! sorted-vector oracle in
 //! `tests/tests/telemetry.rs` alongside the [`crate::StreamHist`]
 //! estimate.
 
@@ -28,16 +27,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     sorted[rank(q, sorted.len())]
-}
-
-/// Nearest-rank percentile of an **already sorted** (ascending) `u64`
-/// slice — the serving tier stores latencies as integral microseconds.
-/// Returns 0.0 when empty.
-pub fn percentile_sorted_u64(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[rank(q, sorted.len())] as f64
 }
 
 #[cfg(test)]
@@ -64,8 +53,5 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 0.5), 3.0);
         assert_eq!(percentile_sorted(&v, 1.0), 100.0);
         assert_eq!(percentile_sorted(&[], 0.5), 0.0);
-        let u = [10u64, 20, 30];
-        assert_eq!(percentile_sorted_u64(&u, 0.5), 20.0);
-        assert_eq!(percentile_sorted_u64(&[], 0.5), 0.0);
     }
 }

@@ -5,8 +5,11 @@
 //! checkpoint carries the τ matrix (`user_scoring = user + τ·user`,
 //! recomputed with the *same* spmm/add kernels training used, so serving
 //! scores are bit-identical to the in-memory model's). Queries then reduce
-//! to one user×item `matmul_nt` and a heap-based partial top-K select,
-//! both row-parallel and deterministic, with optional seen-item filtering.
+//! to one user×item `matmul_nt` per item shard and a heap-based partial
+//! top-K select, both row-parallel and deterministic, with optional
+//! seen-item filtering. Monolithic and segmented checkpoints share that
+//! one path: both load into a [`LazyStore`], the former as a single
+//! resident shard per table.
 //!
 //! Because every row is a pure function of the loaded embeddings, batched
 //! answers are independent of batch composition: coalescing queries in the
@@ -19,6 +22,8 @@ use std::path::Path;
 use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::segment::{SegmentedCheckpoint, UserShard};
+use crate::shard::{LazyStore, MapMode, ShardStats};
 
 /// A single top-K request against the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,39 +92,20 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Serving state behind the engine: either the classic dense tables or a
-/// lazily-loaded sharded store over a segmented checkpoint.
-enum Backend {
-    Dense(DenseStore),
-    Sharded(crate::shard::LazyStore),
-}
-
-/// The original fully-resident backing: everything loaded up front.
-struct DenseStore {
-    /// User scoring embeddings — recalibrated when τ was stored.
-    user: Matrix,
-    /// Final propagated item embeddings.
-    item: Matrix,
-    /// CSR-style seen lists: items of user `u` are
-    /// `seen_items[seen_indptr[u]..seen_indptr[u+1]]`. Empty when the
-    /// checkpoint carried no interaction lists.
-    seen_indptr: Vec<u32>,
-    seen_items: Vec<u32>,
-}
-
 /// In-memory inference state: precomputed scoring embeddings plus the
-/// per-user seen-item lists, fully resident (dense checkpoints) or
-/// faulted in shard-by-shard (segmented checkpoints).
+/// per-user seen-item lists, held in one [`LazyStore`] — filled at load
+/// (monolithic checkpoints) or faulted in shard-by-shard (segmented
+/// checkpoints).
 pub struct Engine {
     meta: BTreeMap<String, String>,
-    backend: Backend,
+    store: LazyStore,
 }
 
 /// Resolves the user *scoring* table of a monolithic checkpoint, in
 /// preference order: `final/user` + the `tau/{indptr,cols,values}` CSR
 /// triple (recalibration re-applied with the same kernels training used),
 /// `final/user_scoring` (pre-recalibrated), or bare `final/user`.
-pub(crate) fn resolve_user_scoring(ckpt: &Checkpoint) -> Result<Matrix, CheckpointError> {
+fn resolve_user_scoring(ckpt: &Checkpoint) -> Result<Matrix, CheckpointError> {
     if ckpt.tensor("tau/indptr").is_some() {
         let base = ckpt.matrix("final/user")?;
         let tau = load_csr(ckpt, "tau", base.rows(), base.rows())?;
@@ -132,33 +118,43 @@ pub(crate) fn resolve_user_scoring(ckpt: &Checkpoint) -> Result<Matrix, Checkpoi
     }
 }
 
+/// The serving tables of a monolithic checkpoint: the whole user table as
+/// one [`UserShard`] (scoring embeddings per [`resolve_user_scoring`],
+/// seen lists validated, or all-empty when none are stored) and
+/// `final/item`.
+pub(crate) fn serving_tables(ckpt: &Checkpoint) -> Result<(UserShard, Matrix), CheckpointError> {
+    let item = ckpt.matrix("final/item")?;
+    let emb = resolve_user_scoring(ckpt)?;
+    if emb.cols() != item.cols() {
+        return Err(CheckpointError::BadShape(format!(
+            "user dim {} != item dim {}",
+            emb.cols(),
+            item.cols()
+        )));
+    }
+    let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
+        Some(_) => {
+            let indptr = ckpt.u32s("seen/indptr")?.to_vec();
+            let items = ckpt.u32s("seen/items")?.to_vec();
+            validate_lists(&indptr, &items, emb.rows(), item.rows())?;
+            (indptr, items)
+        }
+        None => (vec![0; emb.rows() + 1], Vec::new()),
+    };
+    Ok((UserShard { emb, seen_indptr, seen_items }, item))
+}
+
 impl Engine {
-    /// Builds a dense (fully-resident) engine from a parsed checkpoint.
+    /// Builds a fully resident engine from a parsed checkpoint: one user
+    /// shard and one item shard, so nothing ever lazy-loads.
     ///
     /// Expects `final/item` plus a user table as described by
     /// [`resolve_user_scoring`].
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        let item = ckpt.matrix("final/item")?;
-        let user = resolve_user_scoring(ckpt)?;
-        if user.cols() != item.cols() {
-            return Err(CheckpointError::BadShape(format!(
-                "user dim {} != item dim {}",
-                user.cols(),
-                item.cols()
-            )));
-        }
-        let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
-            Some(_) => {
-                let indptr = ckpt.u32s("seen/indptr")?.to_vec();
-                let items = ckpt.u32s("seen/items")?.to_vec();
-                validate_lists(&indptr, &items, user.rows(), item.rows())?;
-                (indptr, items)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
+        let (user, item) = serving_tables(ckpt)?;
         Ok(Self {
             meta: ckpt.meta_entries().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-            backend: Backend::Dense(DenseStore { user, item, seen_indptr, seen_items }),
+            store: LazyStore::resident(user, item),
         })
     }
 
@@ -172,24 +168,19 @@ impl Engine {
     /// is read here — startup cost and RSS scale with *touched* shards,
     /// not table size.
     pub fn open_segmented(dir: &Path) -> Result<Self, CheckpointError> {
-        Self::open_segmented_with(dir, crate::shard::MapMode::from_env())
+        Self::open_segmented_with(dir, MapMode::from_env())
     }
 
     /// [`Engine::open_segmented`] with an explicit [`MapMode`].
-    ///
-    /// [`MapMode`]: crate::shard::MapMode
-    pub fn open_segmented_with(dir: &Path, mode: crate::shard::MapMode) -> Result<Self, CheckpointError> {
-        let seg = crate::segment::SegmentedCheckpoint::open_with(dir, mode)?;
+    pub fn open_segmented_with(dir: &Path, mode: MapMode) -> Result<Self, CheckpointError> {
+        let seg = SegmentedCheckpoint::open_with(dir, mode)?;
         let meta = seg.meta_entries().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        Ok(Self { meta, backend: Backend::Sharded(crate::shard::LazyStore::new(seg)) })
+        Ok(Self { meta, store: LazyStore::new(seg) })
     }
 
-    /// Shard residency snapshot — `None` for dense engines.
-    pub fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        match &self.backend {
-            Backend::Dense(_) => None,
-            Backend::Sharded(s) => Some(s.stats()),
-        }
+    /// Shard residency snapshot — `None` for checkpoint-loaded engines.
+    pub fn shard_stats(&self) -> Option<ShardStats> {
+        self.store.stats()
     }
 
     /// Metadata entry from the source checkpoint (e.g. `model`).
@@ -199,40 +190,22 @@ impl Engine {
 
     /// Number of users the model covers.
     pub fn num_users(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.user.rows(),
-            Backend::Sharded(s) => s.num_users(),
-        }
+        self.store.num_users()
     }
 
     /// Number of items the model covers.
     pub fn num_items(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.item.rows(),
-            Backend::Sharded(s) => s.num_items(),
-        }
+        self.store.num_items()
     }
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.item.cols(),
-            Backend::Sharded(s) => s.dim(),
-        }
+        self.store.dim()
     }
 
     /// The user's training interactions (empty when unknown or unstored).
     pub fn seen(&self, user: u32) -> &[u32] {
-        match &self.backend {
-            Backend::Dense(d) => {
-                let u = user as usize;
-                if u + 1 >= d.seen_indptr.len() {
-                    return &[];
-                }
-                &d.seen_items[d.seen_indptr[u] as usize..d.seen_indptr[u + 1] as usize]
-            }
-            Backend::Sharded(s) => s.seen(user as usize),
-        }
+        self.store.seen(user as usize)
     }
 
     fn check(&self, q: &Query) -> Result<(), QueryError> {
@@ -249,27 +222,20 @@ impl Engine {
     /// model's dot-product scorer over every item.
     pub fn scores_for(&self, user: u32) -> Result<Vec<f32>, QueryError> {
         self.check(&Query { user, k: 1, exclude_seen: false })?;
-        match &self.backend {
-            Backend::Dense(d) => {
-                let rows = d.user.gather_rows(&[user as usize]);
-                Ok(rows.matmul_nt(&d.item).as_slice().to_vec())
-            }
-            Backend::Sharded(s) => {
-                let row = s
-                    .user_row(user as usize)
-                    .map_err(|(shard, detail)| QueryError::ShardUnavailable { shard: shard as u32, detail })?
-                    .to_vec();
-                let rows = Matrix::from_vec(1, s.dim(), row);
-                let mut out = vec![0.0f32; s.num_items()];
-                for (si, lo, hi) in s.item_spec().iter_ranges() {
-                    let shard = s
-                        .item_shard(si)
-                        .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })?;
-                    out[lo..hi].copy_from_slice(rows.matmul_nt(shard).as_slice());
-                }
-                Ok(out)
-            }
+        let s = &self.store;
+        let row = s
+            .user_row(user as usize)
+            .map_err(|(shard, detail)| QueryError::ShardUnavailable { shard: shard as u32, detail })?
+            .to_vec();
+        let rows = Matrix::from_vec(1, s.dim(), row);
+        let mut out = vec![0.0f32; s.num_items()];
+        for (si, lo, hi) in s.item_spec().iter_ranges() {
+            let shard = s
+                .item_shard(si)
+                .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })?;
+            out[lo..hi].copy_from_slice(rows.matmul_nt(shard).as_slice());
         }
+        Ok(out)
     }
 
     /// Answers one query. Equivalent to a single-element
@@ -283,10 +249,11 @@ impl Engine {
         }
     }
 
-    /// Answers a batch of queries with ONE gathered user×item `matmul_nt`
-    /// and ONE top-K select at the batch's maximum `k` (per-query results
-    /// are truncated prefixes — sound because the selection order is
-    /// total). Each query's result is independent of its batch-mates.
+    /// Answers a batch of queries with ONE gathered user×item
+    /// `gather_matmul_nt` per item shard and ONE top-K select at the
+    /// batch's maximum `k` (per-query results are truncated prefixes —
+    /// sound because the selection order is total). Each query's result is
+    /// independent of its batch-mates.
     pub fn recommend_batch(&self, queries: &[Query]) -> Vec<Result<Vec<ScoredItem>, QueryError>> {
         let mut out: Vec<Result<Vec<ScoredItem>, QueryError>> = Vec::with_capacity(queries.len());
         let mut valid: Vec<usize> = Vec::with_capacity(queries.len());
@@ -305,26 +272,23 @@ impl Engine {
         let users: Vec<usize> = valid.iter().map(|&i| queries[i].user as usize).collect();
         let telemetry = crate::trace::telemetry();
         let t0 = dgnn_obs::now_ns();
-        let mut scores = match &self.backend {
-            Backend::Dense(d) => d.user.gather_matmul_nt(&users, &d.item),
-            Backend::Sharded(s) => match score_sharded(s, &users) {
-                Ok((scores, row_errs)) => {
-                    for (row, &i) in valid.iter().enumerate() {
-                        if let Some(e) = row_errs[row].clone() {
-                            out[i] = Err(e);
-                        }
+        let mut scores = match score_batch(&self.store, &users) {
+            Ok((scores, row_errs)) => {
+                for (row, &i) in valid.iter().enumerate() {
+                    if let Some(e) = row_errs[row].clone() {
+                        out[i] = Err(e);
                     }
-                    scores
                 }
-                Err(e) => {
-                    // An item shard is unloadable: no query in the batch
-                    // can be scored over the full catalog.
-                    for &i in &valid {
-                        out[i] = Err(e.clone());
-                    }
-                    return out;
+                scores
+            }
+            Err(e) => {
+                // An item shard is unloadable: no query in the batch can
+                // be scored over the full catalog.
+                for &i in &valid {
+                    out[i] = Err(e.clone());
                 }
-            },
+                return out;
+            }
         };
         for (row, &i) in valid.iter().enumerate() {
             if queries[i].exclude_seen && out[i].is_ok() {
@@ -363,16 +327,13 @@ impl Engine {
 /// queries answer 503 individually). An unloadable *item* shard fails the
 /// whole batch — every query needs the full catalog.
 ///
-/// Bit-identity: rows are gathered byte-for-byte from their shards and
-/// each column block is produced by the same fused `gather_matmul_nt`
-/// kernel the dense path uses. Every score element is a fold over the
-/// same (user row, item row) pair in the same lane order, so the sharded
-/// matrix equals the dense engine's `gather_matmul_nt` element-for-element
-/// at every thread count and GEMM backend.
-fn score_sharded(
-    store: &crate::shard::LazyStore,
-    users: &[usize],
-) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
+/// Shard layout never changes a score: rows are gathered byte-for-byte
+/// from their shards and each column block is produced by the fused
+/// `gather_matmul_nt` kernel. Every score element is a fold over the same
+/// (user row, item row) pair in the same lane order, so the matrix equals
+/// one `gather_matmul_nt` over the unsplit tables element-for-element at
+/// every thread count and GEMM backend.
+fn score_batch(store: &LazyStore, users: &[usize]) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
     let n = users.len();
     let mut batch = Matrix::zeros(n, store.dim());
     let mut row_errs: Vec<Option<QueryError>> = vec![None; n];

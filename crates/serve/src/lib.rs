@@ -7,7 +7,8 @@
 //!    bytes returns [`CheckpointError`], never panics.
 //!    Segmented checkpoints ([`segment`]) extend the same guarantees to a
 //!    manifest-plus-shard-files layout, and [`shard`] lazily faults those
-//!    shards in (mmap or pread, `DGNN_MMAP` knob) at serve time.
+//!    shards in (mmap or pread, `DGNN_MMAP` knob) at serve time. Its
+//!    [`shard::LazyStore`] is the engine's one store for both layouts.
 //! 2. [`engine`] — loads a checkpoint, materializes the post-propagation
 //!    scoring embeddings once (re-applying the Eq. 9–10 social
 //!    recalibration when τ is stored), and answers top-K queries with a
@@ -16,11 +17,9 @@
 //! 3. [`http`] — a std-only HTTP/1.1 server with a fixed worker pool and
 //!    a micro-batcher coalescing concurrent queries into one engine
 //!    dispatch per tick; malformed input gets JSON 4xx/5xx, never a panic.
-//! 4. Stats ([`stats`]) — bounded latency/batch-size collectors published
-//!    through the `dgnn-obs` snapshot pipeline so serve benchmarks share
-//!    the schema of the training profiles.
-//! 5. Tracing ([`trace`]) — per-request phase timings ([`RequestTrace`])
-//!    recorded live into process-shared histograms, scraped via
+//! 4. Tracing ([`trace`]) — per-request latency, phase timings
+//!    ([`RequestTrace`]), batch sizes and outcome counts recorded live
+//!    into process-shared histograms and counters, scraped via
 //!    `GET /metrics` (Prometheus) and `GET /stats` (JSON), with an
 //!    always-on flight recorder dumped on worker panic and at
 //!    `GET /debug/flight`.
@@ -38,7 +37,6 @@ pub mod engine;
 pub mod http;
 pub mod segment;
 pub mod shard;
-pub mod stats;
 pub mod trace;
 
 use std::path::Path;
@@ -50,7 +48,6 @@ pub use engine::{Engine, Query, QueryError, ScoredItem};
 pub use http::{ServeConfig, Server};
 pub use segment::{save_segmented, SegmentedCheckpoint, SegmentedSummary, SegmentedWriter, UserShard};
 pub use shard::{MapMode, ShardStats};
-pub use stats::{ServerStats, StatsSummary};
 pub use trace::{PhaseBreakdown, RequestTrace, ServeTelemetry};
 
 /// Builds a checkpoint from any dot-product recommender's final

@@ -290,30 +290,13 @@ pub fn save_segmented(
     if user_shard_rows == 0 || item_shard_rows == 0 {
         return Err(CheckpointError::BadShape("shard_rows must be positive".into()));
     }
-    let item = ckpt.matrix("final/item")?;
-    let user = crate::engine::resolve_user_scoring(ckpt)?;
-    if user.cols() != item.cols() {
-        return Err(CheckpointError::BadShape(format!(
-            "user dim {} != item dim {}",
-            user.cols(),
-            item.cols()
-        )));
-    }
-    let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
-        Some(_) => {
-            let indptr = ckpt.u32s("seen/indptr")?.to_vec();
-            let items = ckpt.u32s("seen/items")?.to_vec();
-            validate_lists(&indptr, &items, user.rows(), item.rows())?;
-            (indptr, items)
-        }
-        None => ((0..=user.rows()).map(|_| 0u32).collect(), Vec::new()),
-    };
-
+    let (user, item) = crate::engine::serving_tables(ckpt)?;
     let mut w = SegmentedWriter::create(dir)?;
     for (k, v) in ckpt.meta_entries() {
         w.set_meta(k, v);
     }
-    let users = ShardedTable::from_matrix(&user, user_shard_rows);
+    let UserShard { emb, seen_indptr, seen_items } = user;
+    let users = ShardedTable::from_matrix(&emb, user_shard_rows);
     for (s, lo, hi) in users.spec().iter_ranges() {
         let base = seen_indptr[lo];
         let local_indptr: Vec<u32> = seen_indptr[lo..=hi].iter().map(|&p| p - base).collect();

@@ -2,7 +2,7 @@
 //! bytes, via `mmap(2)` or positional reads.
 //!
 //! Everything above this layer (manifest validation, DGCK parsing, the
-//! lazy engine backend) consumes a [`SegmentBytes`] — an owned-or-mapped
+//! engine's [`LazyStore`]) consumes a [`SegmentBytes`] — an owned-or-mapped
 //! byte region — and never does its own file-length arithmetic or raw
 //! paging. Lint rule 15 (`shard-bounds`) enforces that boundary: raw
 //! `mmap`/`pread`-family calls anywhere else in the workspace need a
@@ -26,6 +26,12 @@
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::OnceLock;
+
+use dgnn_tensor::{Matrix, ShardSpec};
+
+use crate::checkpoint::CheckpointError;
+use crate::segment::{SegmentedCheckpoint, UserShard};
 
 /// `DGNN_MMAP` knob: how segment files are brought into memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +239,8 @@ impl Drop for MappedFile {
     }
 }
 
-/// Lazily-loaded sharded embedding store.
+/// The engine's embedding store: user and item tables split into
+/// id-range shards, each faulted in on first touch.
 ///
 /// Each shard slot is a tiny state machine — `Empty → Loading → Resident`
 /// or `Empty → Loading → Failed` — realized with a `OnceLock`: the first
@@ -243,15 +250,24 @@ impl Drop for MappedFile {
 /// message is cached so repeated queries against a corrupt shard answer
 /// 503 deterministically instead of re-reading a bad file forever.
 ///
-/// Residency and load latency are published through `dgnn-obs` shared
-/// metrics (`serve/shard/*`) and exposed directly via [`LazyStore::stats`]
-/// so tests and the loadgen `--check` gate can assert "RSS bounded by
-/// touched shards" from loader ground truth rather than noisy process RSS
-/// alone.
+/// A store over a segmented checkpoint ([`LazyStore::new`]) starts empty.
+/// A store over a monolithic checkpoint ([`LazyStore::resident`]) is one
+/// user shard and one item shard, filled at construction; it has no
+/// segment source, so nothing ever lazy-loads.
+///
+/// Residency and load latency of a segmented store are published through
+/// `dgnn-obs` shared metrics (`serve/shard/*`) and exposed directly via
+/// [`LazyStore::stats`] so tests and the loadgen `--check` gate can assert
+/// "RSS bounded by touched shards" from loader ground truth rather than
+/// noisy process RSS alone.
 pub struct LazyStore {
-    seg: crate::segment::SegmentedCheckpoint,
-    user_slots: Vec<std::sync::OnceLock<Result<crate::segment::UserShard, String>>>,
-    item_slots: Vec<std::sync::OnceLock<Result<dgnn_tensor::Matrix, String>>>,
+    /// Where unloaded shards come from; `None` for a resident store.
+    seg: Option<SegmentedCheckpoint>,
+    dim: usize,
+    user_spec: ShardSpec,
+    item_spec: ShardSpec,
+    user_slots: Vec<OnceLock<Result<UserShard, String>>>,
+    item_slots: Vec<OnceLock<Result<Matrix, String>>>,
 }
 
 /// Loader ground truth for residency accounting.
@@ -275,88 +291,112 @@ pub struct ShardStats {
 
 impl LazyStore {
     /// Wraps an opened segmented checkpoint; loads nothing yet.
-    pub fn new(seg: crate::segment::SegmentedCheckpoint) -> Self {
-        let user_slots = (0..seg.user_spec().num_shards()).map(|_| std::sync::OnceLock::new()).collect();
-        let item_slots = (0..seg.item_spec().num_shards()).map(|_| std::sync::OnceLock::new()).collect();
-        dgnn_obs::shared::gauge("serve/shard/user_total").set(seg.user_spec().num_shards() as f64);
-        dgnn_obs::shared::gauge("serve/shard/item_total").set(seg.item_spec().num_shards() as f64);
-        Self { seg, user_slots, item_slots }
+    pub fn new(seg: SegmentedCheckpoint) -> Self {
+        let (user_spec, item_spec) = (seg.user_spec(), seg.item_spec());
+        dgnn_obs::shared::gauge("serve/shard/user_total").set(user_spec.num_shards() as f64);
+        dgnn_obs::shared::gauge("serve/shard/item_total").set(item_spec.num_shards() as f64);
+        Self {
+            dim: seg.dim(),
+            user_spec,
+            item_spec,
+            user_slots: (0..user_spec.num_shards()).map(|_| OnceLock::new()).collect(),
+            item_slots: (0..item_spec.num_shards()).map(|_| OnceLock::new()).collect(),
+            seg: Some(seg),
+        }
+    }
+
+    /// A fully resident store: `user` and `item` each become the single
+    /// shard of their table. Publishes no `serve/shard/*` series.
+    pub fn resident(user: UserShard, item: Matrix) -> Self {
+        let user_spec = ShardSpec::new(user.emb.rows(), user.emb.rows().max(1));
+        let item_spec = ShardSpec::new(item.rows(), item.rows().max(1));
+        Self {
+            seg: None,
+            dim: item.cols(),
+            user_spec,
+            item_spec,
+            // An empty table has zero shards, so its one slot is dropped.
+            user_slots: std::iter::once(user)
+                .take(user_spec.num_shards())
+                .map(|u| OnceLock::from(Ok(u)))
+                .collect(),
+            item_slots: std::iter::once(item)
+                .take(item_spec.num_shards())
+                .map(|m| OnceLock::from(Ok(m)))
+                .collect(),
+        }
     }
 
     /// Total users covered by the store.
     pub fn num_users(&self) -> usize {
-        self.seg.user_spec().rows()
+        self.user_spec.rows()
     }
 
     /// Total items covered by the store.
     pub fn num_items(&self) -> usize {
-        self.seg.item_spec().rows()
+        self.item_spec.rows()
     }
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        self.seg.dim()
+        self.dim
     }
 
     /// Item-table id-range spec (drives the per-shard scoring loop).
-    pub fn item_spec(&self) -> dgnn_tensor::ShardSpec {
-        self.seg.item_spec()
+    pub fn item_spec(&self) -> ShardSpec {
+        self.item_spec
     }
 
     /// User-table id-range spec.
-    pub fn user_spec(&self) -> dgnn_tensor::ShardSpec {
-        self.seg.user_spec()
+    pub fn user_spec(&self) -> ShardSpec {
+        self.user_spec
     }
 
-    fn record_load(t0: u64) {
-        let dt = dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6;
-        dgnn_obs::shared::counter("serve/shard/loads").add(1);
-        dgnn_obs::shared::hist("serve/shard/load_ms").record(dt);
-    }
-
-    fn publish_residency(&self) {
-        let stats = self.stats();
-        dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
-        dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
-        dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
+    /// The value in `slot`, loading it from the segment source on first
+    /// touch. A resident store fills every slot at construction, so its
+    /// `load` never runs.
+    fn fill<'a, T>(
+        &'a self,
+        slot: &'a OnceLock<Result<T, String>>,
+        load: impl FnOnce(&SegmentedCheckpoint) -> Result<T, CheckpointError>,
+    ) -> Result<&'a T, String> {
+        let mut loaded_now = false;
+        let r = slot.get_or_init(|| {
+            let Some(seg) = &self.seg else {
+                return Err("shard has no segment source".to_string());
+            };
+            let t0 = dgnn_obs::now_ns();
+            let loaded = load(seg).map_err(|e| e.to_string());
+            let dt = dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6;
+            dgnn_obs::shared::counter("serve/shard/loads").add(1);
+            dgnn_obs::shared::hist("serve/shard/load_ms").record(dt);
+            loaded_now = true;
+            loaded
+        });
+        if loaded_now {
+            if let Some(stats) = self.stats() {
+                dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
+                dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
+                dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
+            }
+        }
+        r.as_ref().map_err(|e| e.clone())
     }
 
     /// User shard `s`, loading it on first touch.
-    pub fn user_shard(&self, s: usize) -> Result<&crate::segment::UserShard, String> {
-        let mut loaded_now = false;
-        let r = self.user_slots[s].get_or_init(|| {
-            let t0 = dgnn_obs::now_ns();
-            let loaded = self.seg.load_user_shard(s).map_err(|e| e.to_string());
-            Self::record_load(t0);
-            loaded_now = true;
-            loaded
-        });
-        if loaded_now {
-            self.publish_residency();
-        }
-        r.as_ref().map_err(|e| e.clone())
+    pub fn user_shard(&self, s: usize) -> Result<&UserShard, String> {
+        self.fill(&self.user_slots[s], |seg| seg.load_user_shard(s))
     }
 
     /// Item shard `s`, loading it on first touch.
-    pub fn item_shard(&self, s: usize) -> Result<&dgnn_tensor::Matrix, String> {
-        let mut loaded_now = false;
-        let r = self.item_slots[s].get_or_init(|| {
-            let t0 = dgnn_obs::now_ns();
-            let loaded = self.seg.load_item_shard(s).map_err(|e| e.to_string());
-            Self::record_load(t0);
-            loaded_now = true;
-            loaded
-        });
-        if loaded_now {
-            self.publish_residency();
-        }
-        r.as_ref().map_err(|e| e.clone())
+    pub fn item_shard(&self, s: usize) -> Result<&Matrix, String> {
+        self.fill(&self.item_slots[s], |seg| seg.load_item_shard(s))
     }
 
     /// Scoring-embedding row for one user, loading its shard on demand.
     /// Errors carry `(shard, detail)` for the 503 path.
     pub fn user_row(&self, user: usize) -> Result<&[f32], (usize, String)> {
-        let (s, local) = self.user_spec().locate(user);
+        let (s, local) = self.user_spec.locate(user);
         let shard = self.user_shard(s).map_err(|e| (s, e))?;
         Ok(shard.emb.row(local))
     }
@@ -368,7 +408,7 @@ impl LazyStore {
         if user >= self.num_users() {
             return &[];
         }
-        let (s, local) = self.user_spec().locate(user);
+        let (s, local) = self.user_spec.locate(user);
         match self.user_shard(s) {
             Ok(shard) => {
                 let lo = shard.seen_indptr[local] as usize;
@@ -379,9 +419,11 @@ impl LazyStore {
         }
     }
 
-    /// Current residency snapshot.
-    pub fn stats(&self) -> ShardStats {
-        let row_bytes = self.dim() as u64 * 4;
+    /// Current residency snapshot — `None` for a resident store, which
+    /// has nothing to account.
+    pub fn stats(&self) -> Option<ShardStats> {
+        let seg = self.seg.as_ref()?;
+        let row_bytes = self.dim as u64 * 4;
         let mut user_resident = 0usize;
         let mut user_resident_bytes = 0u64;
         for slot in &self.user_slots {
@@ -391,15 +433,15 @@ impl LazyStore {
             }
         }
         let item_resident = self.item_slots.iter().filter(|s| matches!(s.get(), Some(Ok(_)))).count();
-        ShardStats {
-            user_total: self.user_spec().num_shards(),
+        Some(ShardStats {
+            user_total: self.user_spec.num_shards(),
             user_resident,
             user_resident_bytes,
             user_table_bytes: self.num_users() as u64 * row_bytes,
-            item_total: self.item_spec().num_shards(),
+            item_total: self.item_spec.num_shards(),
             item_resident,
-            mapped: self.seg.uses_map(),
-        }
+            mapped: seg.uses_map(),
+        })
     }
 }
 

@@ -1,10 +1,13 @@
 //! Segmented-checkpoint and sharded-store contracts, end to end:
 //!
-//! * dense ↔ segmented round-trip is **bit-identical** (every tensor,
-//!   every seen list, the carried metadata);
-//! * the sharded engine answers bit-identically to the dense engine for
+//! * monolithic ↔ segmented round-trip is **bit-identical** (every
+//!   tensor, every seen list, the carried metadata);
+//! * both load paths — a checkpoint-loaded engine and a multi-shard
+//!   segmented one — answer bit-identically to an independent reference
+//!   scorer (`gather_rows` → `matmul_nt` → seen mask → `top_k_rows`) for
 //!   every user, at kernel thread counts 1 and 4, in both positional-read
-//!   and map modes;
+//!   and map modes, with τ stored or pre-applied, with and without seen
+//!   lists;
 //! * every corruption of every file — truncation at any prefix, byte
 //!   flips anywhere, a missing or stray segment — surfaces as a typed
 //!   [`CheckpointError`], never a panic and never silently-wrong data;
@@ -19,7 +22,7 @@ use dgnn_serve::{
     save_segmented, Checkpoint, CheckpointError, Engine, MapMode, Query, QueryError,
     SegmentedCheckpoint,
 };
-use dgnn_tensor::{parallel, Matrix};
+use dgnn_tensor::{parallel, top_k_rows, CsrBuilder, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,43 +107,143 @@ fn segmented_roundtrip_reassembles_bit_identical() {
     }
 }
 
-#[test]
-fn sharded_engine_is_bit_identical_to_dense_at_both_thread_counts() {
-    let (ckpt, dir) = save_fixture("bitident");
-    let dense = Engine::from_checkpoint(&ckpt).expect("dense engine");
-    let mut modes = vec![MapMode::Off];
-    if MapMode::Auto.resolves_to_map() {
-        modes.push(MapMode::On);
+/// A dense reference scorer over the unsplit serving tables, taken from
+/// the checkpoint's own tensors rather than from any engine.
+struct Reference {
+    user: Matrix,
+    item: Matrix,
+    /// `(indptr, items)` seen lists; `None` when the checkpoint has none.
+    seen: Option<(Vec<u32>, Vec<u32>)>,
+}
+
+impl Reference {
+    fn of(ckpt: &Checkpoint, user: Matrix) -> Self {
+        let seen = ckpt.tensor("seen/indptr").map(|_| {
+            (
+                ckpt.u32s("seen/indptr").expect("seen indptr").to_vec(),
+                ckpt.u32s("seen/items").expect("seen items").to_vec(),
+            )
+        });
+        Self { user, item: ckpt.matrix("final/item").expect("item table"), seen }
     }
-    let saved = parallel::current_threads();
-    for mode in modes {
-        let sharded = Engine::open_segmented_with(&dir, mode).expect("sharded engine");
-        for threads in [1usize, 4] {
-            parallel::set_threads(threads);
-            for exclude_seen in [false, true] {
-                let queries: Vec<Query> = (0..USERS)
-                    .map(|u| Query { user: u as u32, k: 5, exclude_seen })
-                    .collect();
-                let a = dense.recommend_batch(&queries);
-                let b = sharded.recommend_batch(&queries);
-                for (u, (ra, rb)) in a.iter().zip(&b).enumerate() {
-                    let (xs, ys) = (
-                        ra.as_ref().expect("dense answers every valid user"),
-                        rb.as_ref().expect("sharded answers every valid user"),
-                    );
-                    assert_eq!(xs.len(), ys.len());
-                    for (x, y) in xs.iter().zip(ys) {
-                        assert_eq!(
-                            (x.item, x.score.to_bits()),
-                            (y.item, y.score.to_bits()),
-                            "user {u} diverges (threads={threads}, exclude_seen={exclude_seen})"
-                        );
-                    }
+
+    /// Plain `gather_rows` → `matmul_nt` → seen mask → `top_k_rows`, one
+    /// `(item, score bits)` list per query.
+    fn answer(&self, queries: &[Query]) -> Vec<Vec<(u32, u32)>> {
+        let idx: Vec<usize> = queries.iter().map(|q| q.user as usize).collect();
+        let mut scores = self.user.gather_rows(&idx).matmul_nt(&self.item);
+        for (row, q) in queries.iter().enumerate() {
+            if let (true, Some((indptr, items))) = (q.exclude_seen, &self.seen) {
+                let u = q.user as usize;
+                for &it in &items[indptr[u] as usize..indptr[u + 1] as usize] {
+                    scores.row_mut(row)[it as usize] = f32::NEG_INFINITY;
                 }
+            }
+        }
+        let k_max = queries.iter().map(|q| q.k).max().expect("non-empty batch");
+        let top = top_k_rows(&scores, k_max);
+        queries
+            .iter()
+            .enumerate()
+            .map(|(row, q)| {
+                top.row(row)
+                    .take(q.k)
+                    .filter(|&(_, s)| s > f32::NEG_INFINITY)
+                    .map(|(it, s)| (it, s.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Asserts `engine` answers every user exactly like `reference` (items
+/// and score bits) at kernel thread counts 1 and 4, with and without
+/// seen-filtering.
+fn assert_matches_reference(engine: &Engine, reference: &Reference, tag: &str) {
+    let saved = parallel::current_threads();
+    for threads in [1usize, 4] {
+        parallel::set_threads(threads);
+        for exclude_seen in [false, true] {
+            let queries: Vec<Query> = (0..engine.num_users())
+                .map(|u| Query { user: u as u32, k: 1 + u % 7, exclude_seen })
+                .collect();
+            let want = reference.answer(&queries);
+            for (u, (got, want)) in engine.recommend_batch(&queries).iter().zip(&want).enumerate() {
+                let got: Vec<(u32, u32)> = got
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{tag}: user {u} unanswered: {e}"))
+                    .iter()
+                    .map(|s| (s.item, s.score.to_bits()))
+                    .collect();
+                assert_eq!(
+                    &got, want,
+                    "{tag}: user {u} diverges (threads={threads}, exclude_seen={exclude_seen})"
+                );
             }
         }
     }
     parallel::set_threads(saved);
+}
+
+#[test]
+fn sharded_engine_is_bit_identical_to_dense_at_both_thread_counts() {
+    let (ckpt, dir) = save_fixture("bitident");
+    let reference = Reference::of(&ckpt, ckpt.matrix("final/user_scoring").expect("user table"));
+    let mut modes = vec![MapMode::Off];
+    if MapMode::Auto.resolves_to_map() {
+        modes.push(MapMode::On);
+    }
+    for mode in modes {
+        let sharded = Engine::open_segmented_with(&dir, mode).expect("sharded engine");
+        assert_matches_reference(&sharded, &reference, &format!("sharded {mode:?}"));
+    }
+}
+
+/// A checkpoint that stores τ instead of pre-recalibrated user rows: the
+/// engine must re-apply `user + τ·user`. The reference computes it here
+/// with the kernels training uses.
+fn tau_checkpoint(seed: u64) -> (Checkpoint, Matrix) {
+    let base = synth_checkpoint(seed);
+    let user = base.matrix("final/user_scoring").expect("user table");
+    let mut tau = CsrBuilder::new(USERS, USERS);
+    for u in 0..USERS {
+        tau.push(u, (u * 5 + 1) % USERS, 0.25);
+        tau.push(u, (u * 11 + 3) % USERS, -0.5);
+    }
+    let tau = tau.build();
+    let scoring = user.add(&tau.spmm(&user));
+    let mut c = Checkpoint::new();
+    c.set_meta("model", "synthetic-tau");
+    c.push_matrix("final/user", &user);
+    c.push_matrix("final/item", &base.matrix("final/item").expect("item table"));
+    c.push_u32("tau/indptr", tau.row_ptr().iter().map(|&p| p as u32).collect());
+    c.push_u32("tau/cols", tau.col_idx().iter().map(|&c| c as u32).collect());
+    c.push_f32("tau/values", 1, tau.nnz(), tau.values().to_vec());
+    c.push_u32("seen/indptr", base.u32s("seen/indptr").expect("seen indptr").to_vec());
+    c.push_u32("seen/items", base.u32s("seen/items").expect("seen items").to_vec());
+    (c, scoring)
+}
+
+#[test]
+fn both_load_paths_match_an_independent_reference_scorer() {
+    let (with_tau, scoring) = tau_checkpoint(7);
+    let plain = synth_checkpoint(11);
+    let plain_user = plain.matrix("final/user_scoring").expect("user table");
+    let mut unseen = Checkpoint::new();
+    unseen.push_matrix("final/user_scoring", &plain_user);
+    unseen.push_matrix("final/item", &plain.matrix("final/item").expect("item table"));
+    for (name, ckpt, user) in [("tau", with_tau, scoring), ("unseen", unseen, plain_user)] {
+        let reference = Reference::of(&ckpt, user);
+        assert_eq!(reference.seen.is_some(), name == "tau");
+        let loaded = Engine::from_checkpoint(&ckpt).expect("checkpoint engine");
+        assert!(loaded.shard_stats().is_none(), "checkpoint engines report no shard stats");
+        assert_matches_reference(&loaded, &reference, &format!("{name} checkpoint"));
+        let dir = fresh_dir(&format!("reference-{name}"));
+        save_segmented(&ckpt, &dir, USER_SHARD_ROWS, ITEM_SHARD_ROWS).expect("segmented save");
+        let sharded = Engine::open_segmented(&dir).expect("segmented engine");
+        assert!(sharded.shard_stats().is_some_and(|s| s.user_total == 4 && s.item_total == 3));
+        assert_matches_reference(&sharded, &reference, &format!("{name} segmented"));
+    }
 }
 
 /// Opening plus full verification plus reassembly must yield a typed

@@ -169,6 +169,14 @@ fn get(addr: SocketAddr, target: &str) -> (u16, String) {
 fn live_scrape_endpoints_are_valid_and_consistent() {
     let server = Server::start(test_engine(), ServeConfig::default()).unwrap();
     let addr = server.addr();
+    let requests_served = |addr| -> u64 {
+        let (status, body) = get(addr, "/health");
+        assert_eq!(status, 200);
+        let tail = body.split_once("\"requests\":").map_or("", |(_, t)| t);
+        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().unwrap_or_else(|_| panic!("/health has no requests count: {body:?}"))
+    };
+    let served_before = requests_served(addr);
     let n = 20;
     for r in 0..n {
         let (status, _) = get(addr, &format!("/recommend?user={}&k=3", r % 4));
@@ -207,6 +215,13 @@ fn live_scrape_endpoints_are_valid_and_consistent() {
     for key in ["\"uptime_secs\":", "\"requests\":", "\"ready\":true"] {
         assert!(body.contains(key), "/health missing {key}: {body:?}");
     }
+    // The count is the shared request counters, which only grow while no
+    // test resets them: at least this test's own requests landed.
+    let served_after = requests_served(addr);
+    assert!(
+        served_after >= served_before + n as u64,
+        "/health requests grew {served_before} -> {served_after}, fewer than the {n} sent"
+    );
 
     // /debug/flight: JSONL, one well-formed event per line, and the
     // request traffic above left request/batch events in the ring.
